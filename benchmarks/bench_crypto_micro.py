@@ -8,6 +8,9 @@ multi-round statistics, unlike the single-shot figure benches.
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from repro.crypto.aes import AES128
@@ -197,3 +200,63 @@ def test_table_leaf_macs_1024_blocks(benchmark):
     h = aes.encrypt_block(b"\x00" * 16)
     out = benchmark(gcm_block_macs, aes, h, VEC_ITEMS, 64, kernel="table")
     assert len(out) == VEC_N and len(out[0]) == 8
+
+
+# -- small batches: where the dispatchers switch kernels ----------------------
+#
+# VECTOR_MIN_BLOCKS sits at the measured vector/table crossover.  These
+# rows time both kernels directly (bypassing the dispatch threshold) at
+# the batch sizes the write-back seal and the fetch path actually see.
+# Every call takes the next of 256 pre-built batches of random addresses,
+# counters and data, as live traffic does: the table kernel's large
+# lookup tables then miss cache the way they do in service, where the
+# same-input rows above stay warm.
+
+SMALL_BATCHES = (1, 8, 32)
+
+
+def _fresh_batches(blocks: int, count: int = 256):
+    rng = random.Random(blocks)
+    pool = [[(rng.randrange(1 << 30) * 64, rng.randrange(1 << 48),
+              rng.randbytes(64)) for _ in range(blocks)]
+            for _ in range(count)]
+    return pool, itertools.cycle(pool)
+
+
+@needs_numpy
+@pytest.mark.parametrize("blocks", SMALL_BATCHES)
+def test_vector_ctr_small_batch(benchmark, blocks):
+    pool, batches = _fresh_batches(blocks)
+    benchmark(lambda: bulk_ctr_transform_vector(KEY, next(batches)))
+    assert (bulk_ctr_transform_vector(KEY, pool[0])
+            == bulk_ctr_transform(AES128(KEY), pool[0], kernel="table"))
+
+
+@pytest.mark.parametrize("blocks", SMALL_BATCHES)
+def test_table_ctr_small_batch(benchmark, blocks):
+    aes = AES128(KEY)
+    _, batches = _fresh_batches(blocks)
+    out = benchmark(lambda: bulk_ctr_transform(aes, next(batches),
+                                               kernel="table"))
+    assert len(out) == blocks
+
+
+@needs_numpy
+@pytest.mark.parametrize("blocks", SMALL_BATCHES)
+def test_vector_leaf_macs_small_batch(benchmark, blocks):
+    aes = AES128(KEY)
+    h = aes.encrypt_block(b"\x00" * 16)
+    pool, batches = _fresh_batches(blocks)
+    benchmark(lambda: gcm_block_macs_vector(KEY, h, next(batches), 64))
+    assert (gcm_block_macs_vector(KEY, h, pool[0], 64)
+            == gcm_block_macs(aes, h, pool[0], 64, kernel="table"))
+
+
+@pytest.mark.parametrize("blocks", SMALL_BATCHES)
+def test_table_leaf_macs_small_batch(benchmark, blocks):
+    aes = AES128(KEY)
+    h = aes.encrypt_block(b"\x00" * 16)
+    _, batches = _fresh_batches(blocks)
+    out = benchmark(lambda: gcm_block_macs(aes, h, next(batches), 64,
+                                           kernel="table"))
+    assert len(out) == blocks

@@ -196,7 +196,22 @@ class MerkleTree:
         with the entry in its (recursively trusted) parent; a mismatch
         raises :class:`IntegrityViolation`.  ``_fetched`` collects the
         levels fetched, for chain-length statistics.
+
+        The returned buffer holds the node's current content, but it may
+        be detached from the cache (see :meth:`_install_trusted`); callers
+        that mutate it go through :meth:`_acquire_for_update`.
         """
+        for _ in range(8):
+            payload = self._trusted_payload(level, index, _fetched)
+            if payload is not None:
+                return payload
+        raise RuntimeError(
+            "node cache too small to hold a Merkle verification chain"
+        )
+
+    def _trusted_payload(self, level: int, index: int,
+                         _fetched: list | None) -> bytearray | None:
+        """One attempt of :meth:`ensure_node_trusted`; None asks a retry."""
         in_flight = self._in_flight.get((level, index))
         if in_flight is not None:
             # Mid write-back: the live buffer is the node's authoritative,
@@ -210,9 +225,8 @@ class MerkleTree:
         address = self.node_address(level, index)
         if (level, index) not in self._node_written:
             # Virgin node: trusted all-zeros content, no DRAM access needed.
-            payload = bytearray(self.block_size)
-            self._install(level, index, payload, dirty=False)
-            return payload
+            return self._install_trusted(level, index,
+                                         bytearray(self.block_size))
         # Resolve the parent chain BEFORE reading this node's image: the
         # walk can cascade into write-backs that touch this very node (it
         # may be an ancestor of an evicted dirty node), re-writing its
@@ -237,9 +251,32 @@ class MerkleTree:
                 counter=self.derivative_counter(level, index),
                 expected=expected, actual=actual,
             )
-        payload = bytearray(content)
+        return self._install_trusted(level, index, bytearray(content))
+
+    def _install_trusted(self, level: int, index: int,
+                         payload: bytearray) -> bytearray | None:
+        """Install a freshly trusted node; return its current content.
+
+        On a small node cache the install can start an eviction cascade
+        that displaces the very node just installed.  The cascade may also
+        re-fetch the node, post a child MAC into the new copy and write
+        that copy back, which leaves ``payload`` stale: a child MAC read
+        from it then fails verification with no tampering anywhere.  So a
+        displaced node answers with its resident copy when one exists, and
+        with ``payload`` only while no write-back has touched the node
+        since it was read (DRAM then still holds exactly these bytes).
+        Otherwise the answer is None, and :meth:`ensure_node_trusted`
+        acquires the node again.
+        """
+        key = (level, index)
+        derivative = self._derivative.get(key, 0)
         self._install(level, index, payload, dirty=False)
-        return payload
+        resident = self._cached_payload(level, index)
+        if resident is not None:
+            return resident
+        if self._derivative.get(key, 0) == derivative:
+            return payload
+        return None
 
     def _install(self, level: int, index: int, payload: bytearray,
                  dirty: bool) -> None:

@@ -57,7 +57,11 @@ from repro.crypto.shamir import (
     reconstruct_block,
     split_block,
 )
-from repro.crypto.vector import decrypt_blocks_kernel, resolve_kernel
+from repro.crypto.vector import (
+    decrypt_blocks_kernel,
+    encrypt_blocks_kernel,
+    resolve_kernel,
+)
 from repro.memory.cache import Cache
 from repro.memory.dram import MainMemory
 from repro.obs.metrics import MetricsRegistry
@@ -215,6 +219,9 @@ class SecureMemorySystem:
         self._materialized: set[int] = set()          # data block addresses
         self._counter_materialized: set[int] = set()  # counter block indices
         self._counter_deriv: dict[int, int] = {}      # counter-block leaves
+        #: write-backs whose counter work is done but whose encrypt, DRAM
+        #: store and leaf-MAC install wait for the next :meth:`_seal`
+        self._staged: list[tuple[int, int, bytes]] = []  # (addr, ctr, pt)
 
         # Unified observability: one registry over every stats object the
         # functional system owns, plus tracer fan-out to the components
@@ -262,19 +269,6 @@ class SecureMemorySystem:
         return self._num_data_leaves + counter_block_index
 
     # -- encryption primitives --------------------------------------------------
-
-    def _encrypt(self, address: int, counter: int, plaintext: bytes) -> bytes:
-        mode = self.config.encryption
-        if mode is EncryptionMode.NONE:
-            return bytes(plaintext)
-        if mode is EncryptionMode.DIRECT:
-            return b"".join(
-                self._data_aes.encrypt_block(
-                    plaintext[i : i + CHUNK_SIZE]
-                )
-                for i in range(0, len(plaintext), CHUNK_SIZE)
-            )
-        return ctr_transform(self._data_aes, address, counter, plaintext)
 
     def _decrypt(self, address: int, counter: int, ciphertext: bytes) -> bytes:
         mode = self.config.encryption
@@ -449,34 +443,94 @@ class SecureMemorySystem:
         return bytearray(self._fetch_plaintext_uncached(address, counter))
 
     def _write_back(self, address: int, plaintext: bytes) -> None:
-        """Dirty-eviction path: encrypt, store, and re-MAC one data block."""
+        """Dirty-eviction path for one block: stage it, then seal at once."""
+        self._stage_write_back(address, plaintext)
+        self._seal()
+
+    def _stage_write_back(self, address: int, plaintext: bytes) -> None:
+        """Counter work of one dirty eviction; queue its crypto and store.
+
+        The counter-block fault, the increment, the dirty marking and any
+        re-encryption run here, in eviction order.  Only the encrypt, the
+        DRAM store and the leaf-MAC install wait in :attr:`_staged` for
+        :meth:`_seal`.  Everything that reads DRAM or touches the tree — a
+        counter-block miss, a page or full re-encryption — seals the queue
+        first, so DRAM reads, tree walks and node-cache order are those
+        of sealing every write-back at once.
+        """
         self.stats.writes += 1
         counter = 0
         if self.counter_scheme is not None:
+            index = self.counter_scheme.counter_block_address(address)
+            if not self.counter_cache.contains(index):
+                self._seal()
             self._ensure_counter_block(address, for_write=True)
             result = self.counter_scheme.increment(address)
             # The increment mutates the resident counter block regardless of
             # whether the access above hit or missed; mark the line dirty so
             # eviction serializes the new value back to DRAM.
-            self.counter_cache.mark_dirty(
-                self.counter_scheme.counter_block_address(address)
-            )
+            self.counter_cache.mark_dirty(index)
             counter = result.counter
             if result.action is OverflowAction.PAGE_REENCRYPTION:
+                self._seal()
                 self._page_reencrypt(result.page_address, address)
             elif result.action is OverflowAction.FULL_REENCRYPTION:
+                self._seal()
                 self._full_reencrypt(address)
                 counter = 1
         self._materialized.add(address)
         if self.config.encryption is EncryptionMode.SHARES:
             self._write_back_shares(address, counter, plaintext)
             return
-        ciphertext = self._encrypt(address, counter, plaintext)
-        self.dram.write_block(address, ciphertext)
-        if self.merkle is not None:
-            self.merkle.update_leaf(
-                self._data_leaf_index(address), address, counter, ciphertext
-            )
+        self._staged.append((address, counter, plaintext))
+
+    def _seal(self) -> None:
+        """Encrypt, store and leaf-MAC every staged write-back, in order.
+
+        All pads come from one :func:`bulk_ctr_transform` dispatch and all
+        leaf MACs from one :meth:`MACScheme.compute_many` call — the
+        software analogue of the paper's pipelined pad engines.  Stores
+        and ``update_leaf`` installs then run in staged order.  The queue
+        is taken up front: if an install raises, the write-backs sealed
+        before it are in DRAM and the rest of the queue is dropped.
+        """
+        staged = self._staged
+        if not staged:
+            return
+        self._staged = []
+        mode = self.config.encryption
+        if mode is EncryptionMode.COUNTER:
+            ciphertexts = bulk_ctr_transform(self._data_aes, staged,
+                                             kernel=self.kernel)
+        elif mode is EncryptionMode.DIRECT:
+            chunks = [
+                plaintext[i:i + CHUNK_SIZE]
+                for _, _, plaintext in staged
+                for i in range(0, self.block_size, CHUNK_SIZE)
+            ]
+            cipher_chunks = encrypt_blocks_kernel(self._data_aes, chunks,
+                                                  self.kernel)
+            per_block = self.block_size // CHUNK_SIZE
+            ciphertexts = [
+                b"".join(cipher_chunks[n * per_block:(n + 1) * per_block])
+                for n in range(len(staged))
+            ]
+        else:
+            ciphertexts = [plaintext for _, _, plaintext in staged]
+        merkle = self.merkle
+        macs: list = [None] * len(staged)
+        if merkle is not None:
+            macs = self.mac_scheme.compute_many([
+                (address, counter, ciphertext)
+                for (address, counter, _), ciphertext
+                in zip(staged, ciphertexts)
+            ])
+        for (address, counter, _), ciphertext, mac in zip(
+                staged, ciphertexts, macs):
+            self.dram.write_block(address, ciphertext)
+            if merkle is not None:
+                merkle.update_leaf(self._data_leaf_index(address), address,
+                                   counter, ciphertext, _precomputed_mac=mac)
 
     # -- batched fetch ---------------------------------------------------------
 
@@ -485,7 +539,8 @@ class SecureMemorySystem:
             return 0
         return self.counter_scheme.counter_block_address(address)
 
-    def _fetch_blocks_bulk(self, addresses: list[int]) -> dict[int, bytearray]:
+    def _fetch_blocks_bulk(self, addresses: list[int], *,
+                           decrypt: bool = True) -> dict[int, bytearray]:
         """Miss path for many distinct blocks: fetch, verify, decrypt in bulk.
 
         ``addresses`` must be distinct and sorted so that blocks sharing a
@@ -493,7 +548,9 @@ class SecureMemorySystem:
         on-chip once per batch.  Merkle verification runs through
         :meth:`~repro.auth.merkle.MerkleTree.verify_leaves` (shared-ancestor
         dedup) and all counter-mode pads are generated with a single AES
-        dispatch.  Returns plaintext per address.
+        dispatch.  Returns plaintext per address; with ``decrypt=False``
+        (the write-allocate fetch, whose plaintext the write replaces) the
+        blocks are only verified and nothing is returned.
         """
         if self.config.encryption is EncryptionMode.SHARES:
             # Scattered blocks fan out to k share fetches with per-share
@@ -529,6 +586,8 @@ class SecureMemorySystem:
                         ciphertext))
                     for address, counter, ciphertext in fetched
                 ]
+        if not decrypt:
+            return {}
         mode = self.config.encryption
         if mode is EncryptionMode.COUNTER:
             plaintexts = bulk_ctr_transform(self._data_aes, fetched,
@@ -637,13 +696,9 @@ class SecureMemorySystem:
             _derive_key(self._base_key, b"data", self._key_epoch)
         )
         scheme.reset_all_counters()
-        for address, plaintext in plaintexts.items():
-            ciphertext = self._encrypt(address, 0, plaintext)
-            self.dram.write_block(address, ciphertext)
-            if self.merkle is not None:
-                self.merkle.update_leaf(
-                    self._data_leaf_index(address), address, 0, ciphertext
-                )
+        self._staged.extend((address, 0, plaintext)
+                            for address, plaintext in plaintexts.items())
+        self._seal()
         # The triggering block's write-back proceeds with counter 1.
         scheme.set_counter(triggering_address, 1)
         self.stats.reencryption.blocks_reencrypted += len(plaintexts)
@@ -687,10 +742,11 @@ class SecureMemorySystem:
         counter block faults on-chip at most once and all pads come from
         one AES dispatch; Merkle chains are walked once per shared parent.
         Cache/eviction order may differ from the scalar loop (hit/miss
-        statistics can shift), but every eviction runs the ordinary
-        write-back path, so DRAM always holds a consistent image.  On an
-        :class:`IntegrityViolation` the batch aborts without returning any
-        values.
+        statistics can shift).  Dirty evictions are staged and sealed in
+        one crypto pass (see :meth:`_stage_write_back`), and the queue is
+        sealed before the batch returns, so DRAM holds a consistent image
+        between calls.  On an :class:`IntegrityViolation` the batch aborts
+        without returning any values.
         """
         for address in addresses:
             self._check_data_address(address)
@@ -717,7 +773,9 @@ class SecureMemorySystem:
                     out[slot] = data
                 eviction = self.l2.fill(address, payload=plaintext)
                 if eviction is not None and eviction.dirty:
-                    self._write_back(eviction.address, bytes(eviction.payload))
+                    self._stage_write_back(eviction.address,
+                                           bytes(eviction.payload))
+            self._seal()
         return out  # type: ignore[return-value]
 
     def write_blocks(self, pairs: list[tuple[int, bytes]]) -> None:
@@ -726,7 +784,8 @@ class SecureMemorySystem:
         ``pairs`` holds ``(address, data)`` in program order; duplicate
         addresses collapse last-write-wins, exactly as the equivalent
         ``write_block`` loop would leave them.  Write-allocate fetches for
-        missing blocks are batched like :meth:`read_blocks`.
+        missing blocks are batched like :meth:`read_blocks`, and only
+        verified: the write replaces their plaintext.
         """
         for address, data in pairs:
             self._check_data_address(address)
@@ -746,12 +805,15 @@ class SecureMemorySystem:
             pending = sorted(
                 staged, key=lambda a: (self._counter_block_index(a), a)
             )
-            self._fetch_blocks_bulk(pending)  # write-allocate verification
+            # Write-allocate: verify the old images, never decrypt them.
+            self._fetch_blocks_bulk(pending, decrypt=False)
             for address in staged:  # preserve first-seen fill order
                 eviction = self.l2.fill(address, dirty=True,
                                         payload=bytearray(staged[address]))
                 if eviction is not None and eviction.dirty:
-                    self._write_back(eviction.address, bytes(eviction.payload))
+                    self._stage_write_back(eviction.address,
+                                           bytes(eviction.payload))
+            self._seal()
 
     def read(self, address: int, size: int) -> bytes:
         """Byte-granular read spanning blocks."""
@@ -780,8 +842,9 @@ class SecureMemorySystem:
     def flush(self) -> None:
         """Write all dirty on-chip state back to DRAM.
 
-        After a flush the DRAM image is self-contained: a fresh system with
-        the same keys (see :meth:`clone_cold`) can verify and decrypt it.
+        After a flush the DRAM image is self-contained: a system with
+        every cache dropped (see :func:`repro.testing.oracle.cold_sweep`)
+        can verify and decrypt it.
         """
         # Write-backs can dirty more lines (lazy page re-encryption marks
         # cached blocks dirty; data write-backs dirty counter blocks), so
@@ -790,7 +853,8 @@ class SecureMemorySystem:
             dirty_data = list(self.l2.dirty_blocks())
             for address, line in dirty_data:
                 line.dirty = False
-                self._write_back(address, bytes(line.payload))
+                self._stage_write_back(address, bytes(line.payload))
+            self._seal()
             dirty_counters = (
                 list(self.counter_cache.cache.dirty_blocks())
                 if self.counter_cache is not None else []
@@ -819,6 +883,11 @@ class SecureMemorySystem:
         part of the construction parameters, so only the epoch needs
         recording — the data key re-derives on load.
         """
+        if self._staged:
+            raise RuntimeError(
+                "cannot checkpoint a SecureMemorySystem with staged "
+                "write-backs"
+            )
         from repro.obs.metrics import fields_state
         state: dict = {
             "key_epoch": self._key_epoch,
@@ -849,6 +918,7 @@ class SecureMemorySystem:
         self._materialized = set(state["materialized"])
         self._counter_materialized = set(state["counter_materialized"])
         self._counter_deriv = dict(state["counter_deriv"])
+        self._staged = []
         self.l2.load_state(state["l2"])
         self.dram.load_state(state["dram"])
         self.rsr_file.load_state(state["rsrs"])

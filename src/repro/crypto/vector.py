@@ -8,17 +8,19 @@ pipeline, one GF(2^128) multiply per cycle), and the software analogue is
 the same computation expressed as NumPy array programs:
 
 * **AES-128** — the batch state is an ``(N, 16)`` uint8 array in the same
-  column-major byte order as the scalar kernel.  SubBytes is one fancy-index
-  gather through the S-box, ShiftRows a fixed column permutation, and
-  MixColumns eight xtime-table gathers plus XORs per round, all over the
-  whole batch at once.  The key schedule is computed once per key and
-  broadcast.
+  column-major byte order as the scalar kernel.  A middle round is one
+  gather from a ``(16, 256)`` uint32 table that fuses SubBytes, ShiftRows
+  and MixColumns (each state byte indexes the 4-byte column it contributes
+  to the round output), one XOR-reduce of those contributions per column,
+  and the round-key XOR — a handful of whole-batch array operations, so a
+  small batch costs about what the table kernel pays per block.  The key
+  schedule is computed once per key and broadcast.
 * **GHASH** — Shoup's 8-bit-window method vectorized: the per-subkey table
-  becomes two ``(16, 256)`` uint64 arrays (high/low halves of each 128-bit
-  product), and one chain step for N lanes is 32 gathers plus XOR
-  reductions.  Lanes advance in lockstep, so a batch of same-length
-  messages (the leaf-MAC case: every message is one cache block) costs one
-  chain, not N.
+  becomes two flattened ``(16, 256)`` uint64 arrays (high/low halves of
+  each 128-bit product), and one chain step for N lanes is two gathers
+  (every byte position at once) plus a pairwise XOR fold.  Lanes advance
+  in lockstep, so a batch of same-length messages (the leaf-MAC case:
+  every message is one cache block) costs one chain, not N.
 * **Leaf MACs / CTR pads** — compositions of the two, with the per-chunk
   seeds themselves built as array programs.
 
@@ -62,9 +64,13 @@ HAVE_NUMPY = _np is not None
 #: kernel names accepted by the dispatch helpers and ``Config.kernel``
 KERNELS = ("scalar", "table", "vector")
 
-#: below this many 16-byte blocks the per-call array overhead outweighs the
-#: vector win and the dispatchers silently use the table kernel instead
-VECTOR_MIN_BLOCKS = 8
+#: below this many 16-byte blocks (CTR pads, block encrypt/decrypt) or
+#: messages (leaf MACs) the per-call array overhead outweighs the vector
+#: win and the dispatchers silently use the table kernel instead.  Both
+#: crossovers measured on fresh (address, counter) inputs, as live
+#: traffic has, sit at about 5: 5 chunks of CTR and 5 one-block leaf MACs
+#: — see the small-batch rows of benchmarks/results/crypto_micro.txt.
+VECTOR_MIN_BLOCKS = 6
 
 _MASK48 = (1 << 48) - 1
 _MASK64 = (1 << 64) - 1
@@ -91,15 +97,30 @@ def resolve_kernel(name: str) -> str:
 
 # -- numpy lookup tables (tiny; built eagerly at import) ----------------------
 
+def _round_table(sbox, mul, matrix) -> "_np.ndarray":
+    """Fused SubBytes + (Inv)MixColumns table, ``(16, 256)`` uint32.
+
+    Row ``p`` serves state position ``p`` after (Inv)ShiftRows, that is
+    row ``p % 4`` of its column: entry ``x`` is that byte's contribution
+    ``matrix[:, p % 4] * sbox[x]`` to the whole output column, packed
+    little-endian so the word's bytes land in rows 0..3 of the state.
+    """
+    sub = _np.array(sbox, dtype=_np.uint8)
+    products = {m: (sub if m == 1 else _np.array(mul[m], dtype=_np.uint8)[sub]
+                    ).astype(_np.uint32)
+                for m in {m for row in matrix for m in row}}
+    rows = []
+    for r in range(4):
+        word = _np.zeros(256, dtype=_np.uint32)
+        for out_row in range(4):
+            word |= products[matrix[out_row][r]] << _np.uint32(8 * out_row)
+        rows.append(word)
+    return _np.stack(rows * 4).astype("<u4")
+
+
 if HAVE_NUMPY:
     _SBOX_NP = _np.array(SBOX, dtype=_np.uint8)
     _INV_SBOX_NP = _np.array(INV_SBOX, dtype=_np.uint8)
-    _MUL2_NP = _np.array(_MUL2, dtype=_np.uint8)
-    _MUL3_NP = _np.array(_MUL3, dtype=_np.uint8)
-    _MUL9_NP = _np.array(_MUL9, dtype=_np.uint8)
-    _MUL11_NP = _np.array(_MUL11, dtype=_np.uint8)
-    _MUL13_NP = _np.array(_MUL13, dtype=_np.uint8)
-    _MUL14_NP = _np.array(_MUL14, dtype=_np.uint8)
     # ShiftRows / InvShiftRows as column permutations of the flat state
     # (byte i = column i//4, row i%4 — identical to the scalar kernel).
     _SHIFT_NP = _np.array(
@@ -110,6 +131,18 @@ if HAVE_NUMPY:
         [0, 13, 10, 7, 4, 1, 14, 11, 8, 5, 2, 15, 12, 9, 6, 3],
         dtype=_np.intp,
     )
+    _MULS = {2: _MUL2, 3: _MUL3, 9: _MUL9, 11: _MUL11, 13: _MUL13,
+             14: _MUL14}
+    #: flattened (16, 256) round tables; position ``p`` reads row ``p``
+    #: through the ``_ROW_BASE[p]`` offset in one flat gather
+    _ENC_ROUND = _round_table(
+        SBOX, _MULS, ((2, 3, 1, 1), (1, 2, 3, 1), (1, 1, 2, 3), (3, 1, 1, 2))
+    ).reshape(-1)
+    _DEC_ROUND = _round_table(
+        INV_SBOX, _MULS,
+        ((14, 11, 13, 9), (9, 14, 11, 13), (13, 9, 14, 11), (11, 13, 9, 14)),
+    ).reshape(-1)
+    _ROW_BASE = _np.arange(16, dtype=_np.intp) * 256
 
 
 def _require_numpy() -> None:
@@ -166,69 +199,29 @@ class VectorAES128:
         dec_keys.append(round_keys[0])
         self._rk_dec = _np.array(dec_keys, dtype=_np.uint8)
 
-    # The MixColumns matrix rows are cyclic shifts of (2 3 1 1), so one
-    # round's column mix is eight gathers (xtime and xtime^3 of each input
-    # row) plus twelve XORs over the whole batch.
-
     @staticmethod
-    def _mix_columns(cols: "_np.ndarray") -> "_np.ndarray":
-        a0 = cols[:, :, 0]
-        a1 = cols[:, :, 1]
-        a2 = cols[:, :, 2]
-        a3 = cols[:, :, 3]
-        m0 = _MUL2_NP[a0]
-        m1 = _MUL2_NP[a1]
-        m2 = _MUL2_NP[a2]
-        m3 = _MUL2_NP[a3]
-        n0 = _MUL3_NP[a0]
-        n1 = _MUL3_NP[a1]
-        n2 = _MUL3_NP[a2]
-        n3 = _MUL3_NP[a3]
-        out = _np.empty_like(cols)
-        out[:, :, 0] = m0 ^ n1 ^ a2 ^ a3
-        out[:, :, 1] = a0 ^ m1 ^ n2 ^ a3
-        out[:, :, 2] = a0 ^ a1 ^ m2 ^ n3
-        out[:, :, 3] = n0 ^ a1 ^ a2 ^ m3
-        return out
-
-    @staticmethod
-    def _inv_mix_columns(cols: "_np.ndarray") -> "_np.ndarray":
-        a0 = cols[:, :, 0]
-        a1 = cols[:, :, 1]
-        a2 = cols[:, :, 2]
-        a3 = cols[:, :, 3]
-        out = _np.empty_like(cols)
-        out[:, :, 0] = (_MUL14_NP[a0] ^ _MUL11_NP[a1]
-                        ^ _MUL13_NP[a2] ^ _MUL9_NP[a3])
-        out[:, :, 1] = (_MUL9_NP[a0] ^ _MUL14_NP[a1]
-                        ^ _MUL11_NP[a2] ^ _MUL13_NP[a3])
-        out[:, :, 2] = (_MUL13_NP[a0] ^ _MUL9_NP[a1]
-                        ^ _MUL14_NP[a2] ^ _MUL11_NP[a3])
-        out[:, :, 3] = (_MUL11_NP[a0] ^ _MUL13_NP[a1]
-                        ^ _MUL9_NP[a2] ^ _MUL14_NP[a3])
-        return out
+    def _rounds(state, round_keys, table, shift, sbox) -> "_np.ndarray":
+        """Whitening, nine fused table rounds, and the final round."""
+        words = round_keys.view("<u4")
+        s = state ^ round_keys[0]
+        for rnd in range(1, NUM_ROUNDS):
+            # One gather of every byte's column contribution, one
+            # XOR-reduce per column, one round-key XOR.
+            parts = table[s[:, shift] + _ROW_BASE].reshape(-1, 4, 4)
+            column = _np.bitwise_xor.reduce(parts, axis=2)
+            column ^= words[rnd]
+            s = _np.ascontiguousarray(column).view(_np.uint8)
+        return sbox[s[:, shift]] ^ round_keys[NUM_ROUNDS]
 
     def encrypt_array(self, state: "_np.ndarray") -> "_np.ndarray":
         """Encrypt an ``(N, 16)`` uint8 batch; returns a new array."""
-        rk = self._rk_enc
-        s = state ^ rk[0]
-        for rnd in range(1, NUM_ROUNDS):
-            s = _SBOX_NP[s][:, _SHIFT_NP]
-            s = self._mix_columns(s.reshape(-1, 4, 4)).reshape(-1, 16)
-            s ^= rk[rnd]
-        s = _SBOX_NP[s][:, _SHIFT_NP]
-        return s ^ rk[NUM_ROUNDS]
+        return self._rounds(state, self._rk_enc, _ENC_ROUND, _SHIFT_NP,
+                            _SBOX_NP)
 
     def decrypt_array(self, state: "_np.ndarray") -> "_np.ndarray":
         """Decrypt an ``(N, 16)`` uint8 batch (equivalent inverse cipher)."""
-        rk = self._rk_dec
-        s = state ^ rk[0]
-        for rnd in range(1, NUM_ROUNDS):
-            s = _INV_SBOX_NP[s][:, _INV_SHIFT_NP]
-            s = self._inv_mix_columns(s.reshape(-1, 4, 4)).reshape(-1, 16)
-            s ^= rk[rnd]
-        s = _INV_SBOX_NP[s][:, _INV_SHIFT_NP]
-        return s ^ rk[NUM_ROUNDS]
+        return self._rounds(state, self._rk_dec, _DEC_ROUND, _INV_SHIFT_NP,
+                            _INV_SBOX_NP)
 
     def encrypt_blocks(self, blocks) -> list[bytes]:
         """Encrypt many 16-byte blocks in one batch."""
@@ -270,9 +263,11 @@ class VectorGHASH:
     """Batched multiply-by-H chains for one GHASH subkey.
 
     Shoup's 8-bit-window tables, stored as two ``(16, 256)`` uint64 arrays
-    (high/low halves of each precomputed 128-bit product).  One chain step
-    for the whole batch is: XOR the incoming chunks into the running
-    digests, gather the 32 half-products per byte position, XOR-reduce.
+    (high/low halves of each precomputed 128-bit product), flattened so
+    byte position ``i`` with value ``x`` reads entry ``256 * i + x``.  One
+    chain step for the whole batch is: XOR the incoming chunks into the
+    running digests, gather all sixteen high and all sixteen low
+    half-products in one gather each, and fold them with XORs.
     """
 
     __slots__ = ("h", "_th", "_tl")
@@ -295,9 +290,9 @@ class VectorGHASH:
         for _ in range(15):
             prev = rows[-1]
             rows.append([(v >> 8) ^ _RED8[v & 0xFF] for v in prev])
-        self._th = _np.array([[v >> 64 for v in r] for r in rows],
+        self._th = _np.array([v >> 64 for r in rows for v in r],
                              dtype=_np.uint64)
-        self._tl = _np.array([[v & _MASK64 for v in r] for r in rows],
+        self._tl = _np.array([v & _MASK64 for r in rows for v in r],
                              dtype=_np.uint64)
 
     def chain(self, chunks: "_np.ndarray") -> "_np.ndarray":
@@ -307,22 +302,19 @@ class VectorGHASH:
         lockstep, which is why callers group messages by chunk count.
         """
         n, m, _ = chunks.shape
-        th, tl = self._th, self._tl
         y = _np.zeros((n, 16), dtype=_np.uint8)
         packed = _np.empty((n, 2), dtype=">u8")
         for j in range(m):
-            # ``x`` materializes before ``packed`` (which ``y`` views) is
-            # overwritten, so reusing the buffer across chunks is safe and
-            # avoids an (n, 16) copy per chain step.
-            x = y ^ chunks[:, j, :]
-            hi = th[0, x[:, 0]]
-            lo = tl[0, x[:, 0]]
-            for i in range(1, 16):
-                col = x[:, i]
-                hi ^= th[i, col]
-                lo ^= tl[i, col]
-            packed[:, 0] = hi
-            packed[:, 1] = lo
+            # ``index`` materializes before ``packed`` (which ``y`` views)
+            # is overwritten, so reusing the buffer across chunks is safe
+            # and avoids an (n, 16) copy per chain step.
+            index = (y ^ chunks[:, j, :]) + _ROW_BASE
+            for half, table in enumerate((self._th, self._tl)):
+                parts = table.take(index)
+                parts = parts[:, :8] ^ parts[:, 8:]
+                parts = parts[:, :4] ^ parts[:, 4:]
+                parts = parts[:, :2] ^ parts[:, 2:]
+                packed[:, half] = parts[:, 0] ^ parts[:, 1]
             y = packed.view(_np.uint8).reshape(n, 16)
         return y.copy() if m else y
 

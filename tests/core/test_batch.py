@@ -8,6 +8,8 @@ minor-counter overflow forces a page re-encryption in the middle of a
 batch, and when a tiny L2 forces dirty evictions between batch items.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -119,3 +121,37 @@ class TestOverflowMidBatch:
     @given(rounds=st.lists(round_strategy, min_size=2, max_size=5))
     def test_property_with_tiny_minor_counters(self, rounds):
         run_rounds(split_config(minor_bits=1), rounds)
+
+
+class TestTinyNodeCacheBatchStream:
+    """A displaced Merkle node must never be read as a stale copy.
+
+    With 1 KiB 2-way counter and node caches, installing a node can start
+    an eviction cascade that re-fetches the same node, posts a child MAC
+    into the new copy and writes it back.  Reading a child MAC from the
+    first, displaced copy then raised a false ``IntegrityViolation`` at
+    step 120 of this stream (no tampering anywhere).
+    """
+
+    def test_scattered_stream_has_no_false_violation(self):
+        from repro.core.config import PRESETS
+
+        config = PRESETS["scattered"].with_updates(
+            counter_cache_size=1024, counter_cache_assoc=2,
+            node_cache_size=1024, node_cache_assoc=2)
+        system = SecureMemorySystem(config, protected_bytes=256 * 1024,
+                                    l2_size=2048, l2_assoc=4)
+        rng = random.Random("scattered:True")
+        model: dict[int, bytes] = {}
+        for _ in range(300):
+            count = rng.choice((1, 8, 16))
+            addresses = [rng.randrange(system.num_data_blocks) * 64
+                         for _ in range(count)]
+            if rng.random() < 0.3:
+                expected = [model.get(a, bytes(64)) for a in addresses]
+                assert system.read_blocks(addresses) == expected
+            else:
+                pairs = [(a, rng.randbytes(64)) for a in addresses]
+                system.write_blocks(pairs)
+                model.update(pairs)
+        assert system.integrity_violations == 0

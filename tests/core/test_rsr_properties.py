@@ -37,16 +37,19 @@ class _EncryptSpy:
         self.tuples = []
         self.duplicates = []
         self._seen = set()
-        self._orig = system._encrypt
-        system._encrypt = self._call
+        self._orig = system._seal
+        system._seal = self._call
 
-    def _call(self, address, counter, plaintext):
-        key = (self.system._key_epoch, address, counter)
-        if key in self._seen:
-            self.duplicates.append(key)
-        self._seen.add(key)
-        self.tuples.append(key)
-        return self._orig(address, counter, plaintext)
+    def _call(self):
+        # Every data-block encryption goes through the seal, under the key
+        # epoch current when the seal runs.
+        for address, counter, _ in self.system._staged:
+            key = (self.system._key_epoch, address, counter)
+            if key in self._seen:
+                self.duplicates.append(key)
+            self._seen.add(key)
+            self.tuples.append(key)
+        return self._orig()
 
 
 def _force_writeback(system, address):

@@ -130,7 +130,7 @@ class TestColdSweepCatchesPersistentCorruption:
 class TestDifferentialChecks:
     def test_all_pairs_agree(self):
         results = run_differential_checks(0)
-        assert len(results) == 5
+        assert len(results) == 6
         for check in results:
             assert check.passed, f"{check.name}: {check.detail}"
 
@@ -142,6 +142,7 @@ class TestDifferentialChecks:
             "batched-vs-scalar[split+gcm]",
             "split-vs-mono64-plaintext",
             "vector-vs-table-kernels",
+            "batched-writeback-vs-model",
         }
 
     @pytest.mark.parametrize("seed", [0, 7, 1234])
