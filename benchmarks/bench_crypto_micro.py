@@ -21,7 +21,6 @@ from repro.crypto.ghash import ghash, ghash_chunks
 from repro.crypto.mac import gcm_block_mac, gcm_block_macs
 from repro.crypto.sha1 import sha1
 from repro.crypto.vector import (
-    HAVE_NUMPY,
     bulk_ctr_transform_vector,
     gcm_block_macs_vector,
     ghash_chunks_many,
@@ -32,9 +31,6 @@ from repro.crypto.vector import (
 KEY = bytes(range(16))
 BLOCK64 = bytes(range(64)) + bytes(range(192, 256)) * 0
 DATA64 = (b"\xa5" * 64)
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
-                                 reason="vector kernel needs numpy")
 
 # Batch size for the vector-vs-table comparisons: large enough that the
 # per-call array setup amortizes, matching the read_blocks bulk path.
@@ -139,7 +135,6 @@ def test_sha1_64B(benchmark):
 # (table/array construction is cached per key).
 
 
-@needs_numpy
 def test_vector_aes_encrypt_1024_blocks(benchmark):
     blocks = [bytes([i & 0xFF]) * 16 for i in range(VEC_N)]
     vaes = vector_aes(KEY)
@@ -154,7 +149,6 @@ def test_table_aes_encrypt_1024_blocks(benchmark):
     assert len(out) == VEC_N
 
 
-@needs_numpy
 def test_vector_pad_generation_1024_blocks(benchmark):
     out = benchmark(bulk_ctr_transform_vector, KEY, VEC_ITEMS)
     addr, ctr, data = VEC_ITEMS[0]
@@ -167,7 +161,6 @@ def test_table_pad_generation_1024_blocks(benchmark):
     assert len(out) == VEC_N
 
 
-@needs_numpy
 def test_vector_ghash_1024_messages(benchmark):
     h = AES128(KEY).encrypt_block(b"\x00" * 16)
     vector_ghash(h)  # build the table outside the timed region
@@ -188,7 +181,6 @@ def test_table_ghash_1024_messages(benchmark):
     assert len(out) == VEC_N
 
 
-@needs_numpy
 def test_vector_leaf_macs_1024_blocks(benchmark):
     h = AES128(KEY).encrypt_block(b"\x00" * 16)
     out = benchmark(gcm_block_macs_vector, KEY, h, VEC_ITEMS, 64)
@@ -223,7 +215,6 @@ def _fresh_batches(blocks: int, count: int = 256):
     return pool, itertools.cycle(pool)
 
 
-@needs_numpy
 @pytest.mark.parametrize("blocks", SMALL_BATCHES)
 def test_vector_ctr_small_batch(benchmark, blocks):
     pool, batches = _fresh_batches(blocks)
@@ -241,7 +232,6 @@ def test_table_ctr_small_batch(benchmark, blocks):
     assert len(out) == blocks
 
 
-@needs_numpy
 @pytest.mark.parametrize("blocks", SMALL_BATCHES)
 def test_vector_leaf_macs_small_batch(benchmark, blocks):
     aes = AES128(KEY)

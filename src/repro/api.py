@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import difflib
 import math
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -531,14 +530,6 @@ class ProfileResult(ResultBase):
     meta: ResultMeta | None = None
 
     @property
-    def result(self) -> ExperimentResult:
-        """Deprecated alias of :attr:`run` (pre-ResultBase field name)."""
-        warnings.warn(
-            "ProfileResult.result is deprecated; use ProfileResult.run",
-            DeprecationWarning, stacklevel=2)
-        return self.run
-
-    @property
     def ok(self) -> bool:
         """Whether every miss's attribution summed within tolerance."""
         return self.attribution.max_residual_fraction <= self.tolerance
@@ -613,14 +604,6 @@ class BenchResult(ResultBase):
         """True when the report passed its own validation (it always has
         by the time :func:`bench` returns — run_bench validates)."""
         return bool(self.report)
-
-    def __getitem__(self, key: str) -> Any:
-        """Deprecated dict-style access from when ``bench()`` returned the
-        raw report; use :attr:`report` instead."""
-        warnings.warn(
-            "indexing BenchResult is deprecated; use BenchResult.report",
-            DeprecationWarning, stacklevel=2)
-        return self.report[key]
 
     def to_dict(self) -> dict[str, Any]:
         return {"report": self.report, "meta": self.meta_dict()}

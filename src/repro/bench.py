@@ -47,11 +47,7 @@ from typing import Any, Callable
 from repro.crypto.aes import AES128
 from repro.crypto.ctr import bulk_ctr_transform
 from repro.crypto.mac import gcm_block_macs
-from repro.crypto.vector import (
-    HAVE_NUMPY,
-    ghash_chunks_kernel,
-    ghash_chunks_many,
-)
+from repro.crypto.vector import ghash_chunks_kernel, ghash_chunks_many
 from repro.sim.metrics import geometric_mean
 
 __all__ = [
@@ -157,7 +153,7 @@ def _micro_benchmarks(seed: int, blocks: int,
         return lambda: bulk_ctr_transform(aes, ctr_items, kernel=kernel)
 
     def ghash_runner(kernel: str) -> Callable[[], Any]:
-        if kernel == "vector" and HAVE_NUMPY:
+        if kernel == "vector":
             # The vector kernel's unit of work is the whole batch — one
             # chain per message length — which is exactly how the leaf-MAC
             # path drives it; timing it per-message would bench the array
@@ -356,7 +352,7 @@ def run_bench(*, seed: int = 0, blocks: int = 1024, repeats: int = 3,
         "bench_id": BENCH_ID,
         "quick": quick,
         "seed": seed,
-        "numpy_available": HAVE_NUMPY,
+        "numpy_available": True,
         "micro": micro,
         "sim": sim,
         "engine": engine,

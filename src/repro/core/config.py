@@ -170,15 +170,14 @@ class SecureMemoryConfig:
     memory_latency: int = DEFAULT_MEMORY_LATENCY
 
     #: software crypto backend for the functional layer: ``"auto"`` picks
-    #: the NumPy vector kernel when available (table otherwise); explicit
+    #: the NumPy vector kernel; explicit
     #: ``"vector"``/``"table"``/``"scalar"`` pin a backend.  All backends
     #: are byte-identical — this knob trades host-side speed only and has
     #: no effect on simulated timing or statistics.
     kernel: str = "auto"
 
     #: timing-loop implementation: ``"auto"`` picks the NumPy event-batch
-    #: engine when available (per-reference scalar loop otherwise);
-    #: explicit ``"scalar"``/``"batched"`` pin one.  Both engines are
+    #: engine; explicit ``"scalar"``/``"batched"`` pin one.  Both engines are
     #: bit-identical on every cycle count and statistic (enforced by the
     #: golden-trace and differential suites) — this knob trades host-side
     #: speed only, exactly like ``kernel``.

@@ -17,33 +17,35 @@ stream alone:
   the processor's reference stream touches it.  The event stream for a
   from-reset run is cached on the trace, so a fig-4/fig-9 style sweep
   classifies each trace once and reuses the events for every scheme;
-* **phase B2** — the same trick one level down.  When the L2 is not also
-  the Merkle node cache and the counter scheme cannot trigger a page
-  re-encryption (which probes ``l2.contains`` mid-run), nothing in the
-  memory layer ever touches the L2 — so L2 hits, misses, and dirty
-  victims are precomputable too, and the serial drain iterates only the
-  *L2* misses.  Cached per (trace, L1 geometry, L2 geometry);
-* **phase B2p** — the placement-only variant for split-counter schemes,
-  whose page re-encryption *does* touch the L2 mid-run — but only via
-  ``contains`` (pure) and ``mark_dirty`` (never reorders LRU).  L2
-  *placement* (hit/miss/victim identity) therefore stays
-  timing-independent and is precomputed like B2, while dirty bits and
-  writebacks resolve live in the drain against a minimal residency shim
-  (:class:`_L2ResidencyShim`) that also serves the re-encryption probes.
-  Pending ``mark_dirty`` effects from L1 victim hits are attached to the
-  next L2 miss event so they apply in exactly the scalar order;
+* **phase B2p** — the same trick one level down.  When the L2 is not
+  also the Merkle node cache, the memory layer touches it at most
+  through a split-counter page re-encryption, and only via ``contains``
+  (pure) and ``mark_dirty`` (never reorders LRU).  L2 *placement*
+  (hit/miss/victim identity) is therefore timing-independent and is
+  precomputed, so the serial drain iterates only the *L2* misses, while
+  dirty bits and write-backs resolve live in the drain against a
+  minimal residency shim (:class:`_L2ResidencyShim`) that also serves
+  the re-encryption probes.  Pending ``mark_dirty`` effects from L1
+  victim hits are attached to the next L2 miss event so they apply in
+  exactly the scalar order.  Cached per (trace, L1 geometry, L2
+  geometry);
 * **phase C** — the genuinely serial remainder, kept in Python: the
   MSHR/ROB window drain, the FCFS bus schedule, counter half-miss
   in-flight ordering, Merkle chain walks, and RSR stall conditions.
-  Eligible configurations (no counter prediction, no secret shares,
-  single-copy engines, tracing off) drain through a *monomorphized
-  closure engine* built by :func:`_make_fast_engine`: every hot mutable
-  scalar (bus free slot, engine issue slots, statistic counters,
-  histogram summary) lives in closure cells, synchronized with the real
-  objects only at segment boundaries and around rare delegations (page
-  re-encryption).  Everything else falls back to the real
-  :class:`~repro.sim.timing_memory.TimingSecureMemory` methods operating
-  on installed :class:`LeanCache` mirrors.
+  There is one drain loop, parameterized by L2 mode: *placement* over
+  B2p events, or *live* over B1 events with the L2 looked up inline
+  (needed when the L2 doubles as the Merkle node cache, or when a run
+  does not start from empty caches).  Eligible configurations (no
+  counter prediction, no secret shares, single-copy engines, tracing
+  off) drain through a *monomorphized closure engine* built by
+  :func:`_make_fast_engine`: every hot mutable scalar (bus free slot,
+  engine issue slots, statistic counters, histogram summary) lives in
+  closure cells, synchronized with the real objects only at segment
+  boundaries and around rare delegations (page re-encryption).
+  Everything else drains the same events through
+  :func:`_make_generic_drain`, which calls the real
+  :class:`~repro.sim.timing_memory.TimingSecureMemory` methods
+  operating on installed :class:`LeanCache` mirrors.
 
 Bit-exactness contract: every cycle count, statistic, checkpoint, and
 PathTime record equals the scalar engine's, down to the last ulp.  Both
@@ -70,7 +72,6 @@ from repro.auth.policies import (
 from repro.core.config import AuthMode, EncryptionMode
 from repro.counters.base import OverflowAction
 from repro.counters.prediction import CounterPredictionScheme
-from repro.counters.split import SplitCounterScheme
 from repro.memory.cache import Cache, CacheLine, Eviction
 
 __all__ = ["LeanCache", "run_batched"]
@@ -218,14 +219,15 @@ class _L2ResidencyShim:
     the dirty mark inside ``_page_reencrypt_timing``.  This shim exposes
     exactly those two, backed by the drain's live sets — anything else
     raises, so a violated assumption fails loudly instead of silently
-    diverging from the scalar oracle.
+    diverging from the scalar oracle.  ``dirty`` is the idle L2 mirror's
+    own dirty set, so the live bits land in the mirror with no copy.
     """
 
     __slots__ = ("resident", "dirty")
 
-    def __init__(self):
+    def __init__(self, dirty: set[int]):
         self.resident: set[int] = set()
-        self.dirty: set[int] = set()
+        self.dirty = dirty
 
     def contains(self, address: int) -> bool:
         return address in self.resident
@@ -346,96 +348,17 @@ def _classified_events(trace, l1: Cache, blocks_arr, writes_arr):
     return result
 
 
-# -- phase B2: ahead-of-time L2 classification --------------------------------
-
-
-def _l2_classified_events(trace, l1_key: tuple, l2: Cache, b1):
-    """Whole-trace L2 classification for a from-reset run, cached.
-
-    Valid only when the memory layer never touches the L2: no Merkle node
-    cache sharing it, and no split-counter scheme (whose page
-    re-encryption probes ``l2.contains``/``mark_dirty`` mid-run).  Under
-    those conditions the L2's hit/miss/victim sequence is a pure function
-    of the B1 event stream, so the serial drain shrinks to the L2
-    *misses* only.  Returns ``(l2_events, l2ev_refs, cum_hits,
-    cum_misses, cum_writebacks, final_sets, final_dirty)``; the cum
-    arrays are indexed by *B1 event count* so any segmentation recovers
-    exact per-boundary L2 statistics via a searchsorted on the B1 refs.
-    """
-    key = (l1_key, l2.size_bytes, l2.assoc, l2.block_size)
-    cache = getattr(trace, "_l2_classification", None)
-    if cache is None:
-        cache = trace._l2_classification = {}
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    shift = l2.block_size.bit_length() - 1
-    mask = l2.num_sets - 1
-    assoc = l2.assoc
-    sets: list[list[int]] = [[] for _ in range(l2.num_sets)]
-    dirty: set[int] = set()
-    l2_events = []
-    append = l2_events.append
-    h = m = w = 0
-    cum_h = [0]
-    cum_m = [0]
-    cum_w = [0]
-    for i, block, is_write, l1_victim in b1[0]:
-        if l1_victim is not None:
-            # L1 write-back: an L2 access with write=True
-            lines = sets[(l1_victim >> shift) & mask]
-            if l1_victim in lines:
-                j = lines.index(l1_victim)
-                if j:
-                    lines.insert(0, lines.pop(j))
-                dirty.add(l1_victim)
-                h += 1
-            else:
-                m += 1
-        lines = sets[(block >> shift) & mask]
-        if block in lines:
-            j = lines.index(block)
-            if j:
-                lines.insert(0, lines.pop(j))
-            h += 1
-        else:
-            m += 1
-            victim = None
-            if len(lines) >= assoc:
-                v = lines.pop()
-                if v in dirty:
-                    w += 1
-                    dirty.discard(v)
-                    victim = v
-            lines.insert(0, block)
-            if is_write:
-                dirty.add(block)
-            append((i, block, is_write, victim))
-        cum_h.append(h)
-        cum_m.append(m)
-        cum_w.append(w)
-    result = (
-        l2_events,
-        np.fromiter((e[0] for e in l2_events), dtype=np.int64,
-                    count=len(l2_events)),
-        np.asarray(cum_h, dtype=np.int64),
-        np.asarray(cum_m, dtype=np.int64),
-        np.asarray(cum_w, dtype=np.int64),
-        sets,
-        dirty,
-    )
-    cache[key] = result
-    return result
+# -- phase B2p: ahead-of-time L2 placement ---------------------------------
 
 
 def _l2_placement_events(trace, l1_key: tuple, l2: Cache, b1):
     """Whole-trace L2 *placement* classification, cached (phase B2p).
 
-    The fallback one level weaker than :func:`_l2_classified_events`:
-    when the memory layer can mark resident L2 blocks dirty mid-run (a
-    split-counter page re-encryption) but never changes *placement*, the
-    hit/miss/victim-identity sequence is still a pure function of the B1
-    event stream — only the dirty bits (hence write-back counts) are
+    Valid whenever the L2 is not also the Merkle node cache: the memory
+    layer then never changes L2 *placement* — at most a split-counter
+    page re-encryption marks resident blocks dirty mid-run — so the
+    hit/miss/victim-identity sequence is a pure function of the B1 event
+    stream and only the dirty bits (hence write-back counts) are
     timing-dependent.  Emits one event per L2 miss as ``(ref_index,
     block, is_write, victim_address_or_None, gap_dirty_adds)`` where
     ``gap_dirty_adds`` are the L1 victim write-backs that hit the L2
@@ -501,20 +424,7 @@ def _l2_placement_events(trace, l1_key: tuple, l2: Cache, b1):
     return result
 
 
-def _l2_preclass_ok(memory) -> bool:
-    """Phase-B2 structural eligibility (see :func:`_l2_classified_events`)."""
-    return (memory.node_cache is None
-            and not isinstance(memory.scheme, SplitCounterScheme))
-
-
 # -- phase C: the monomorphized closure engine --------------------------------
-
-
-class _FastEngine:
-    """Holder for the closures built by :func:`_make_fast_engine`."""
-
-    __slots__ = ("drain_live", "drain_pre", "drain_pre_dirty", "sync",
-                 "reload")
 
 
 def _fast_eligible(memory) -> bool:
@@ -525,21 +435,26 @@ def _fast_eligible(memory) -> bool:
             and memory.sha.copies == 1)
 
 
-def _make_fast_engine(memory, l2_mirror: LeanCache,
-                      cc_mirror: LeanCache | None, *, policy,
+def _make_fast_engine(memory, l2_mirror: LeanCache, shim, *, policy,
                       insns_base, cum_cycles, cum_insns,
-                      mshrs: int, rob_insns: int) -> _FastEngine:
-    """Build drain loops specialized to one configuration.
+                      mshrs: int, rob_insns: int):
+    """Build the serial drain specialized to one configuration.
 
     Mirrors :class:`TimingSecureMemory` float-op for float-op, but keeps
     every hot mutable scalar (bus free slot, engine issue slots,
     statistics, histogram summary) in closure cells instead of object
     attributes.  ``reload()`` snapshots the real objects into the cells
-    and ``sync()`` writes them back; the drains bracket themselves with
-    the pair, and delegations to real methods (page re-encryption) are
+    and ``sync()`` writes them back; the drain brackets itself with the
+    pair, and delegations to real methods (page re-encryption) are
     bracketed the same way mid-flight, so interleaving stays consistent
     — including the ``_fill_node`` → ``write_back`` recursion, which
     runs entirely inside the closure sharing the same cells.
+
+    ``shim`` selects the L2 mode: ``None`` for *live* (B1 events, L2
+    looked up inline in ``l2_mirror``, which may also be the Merkle node
+    cache), an :class:`_L2ResidencyShim` for *placement* (B2p events).
+    Returns ``drain(segment, cycle_base, writebacks, outstanding) ->
+    (cycle_base, writebacks)``.
     """
     config = memory.config
     bus = memory.bus
@@ -595,6 +510,10 @@ def _make_fast_engine(memory, l2_mirror: LeanCache,
     inflight_get = counter_inflight.get
     written_add = memory._written.add
 
+    LIVE = shim is None
+    if not LIVE:
+        resident_add = shim.resident.add
+        resident_discard = shim.resident.discard
     l2_sets = l2_mirror.sets
     l2_dirty = l2_mirror.dirty
     l2_stats = l2_mirror.stats
@@ -602,15 +521,17 @@ def _make_fast_engine(memory, l2_mirror: LeanCache,
     L2_MASK = l2_mirror._mask
     L2_ASSOC = l2_mirror.assoc
 
-    HAS_CC = cc_mirror is not None
+    counter_cache = memory.counter_cache
+    HAS_CC = counter_cache is not None
     if HAS_CC:
+        cc_mirror = counter_cache.cache
         cc_sets = cc_mirror.sets
         cc_dirty = cc_mirror.dirty
         cc_stats = cc_mirror.stats
         CC_SHIFT = cc_mirror._shift
         CC_MASK = cc_mirror._mask
         CC_ASSOC = cc_mirror.assoc
-        CC_BS = memory.counter_cache.block_size
+        CC_BS = counter_cache.block_size
         AUTH_CTRS = HAS_NODE and config.authenticate_counters
     else:
         AUTH_CTRS = False
@@ -1062,12 +983,16 @@ def _make_fast_engine(memory, l2_mirror: LeanCache,
             update_leaf(now, address // BS)
         return stall_until
 
-    # -- the serial drains ------------------------------------------------
+    # -- the serial drain -------------------------------------------------
 
-    def drain_live(segment, cycle_base, writebacks, outstanding):
-        """Phase C over B1 events, with the L2 live (inline LeanCache).
+    def drain(segment, cycle_base, writebacks, outstanding):
+        """Phase C over one segment's events.
 
-        The whole ``read_miss`` body is inlined into the loop — on the
+        Only the L2 lookup and the victim choice depend on the mode: live
+        mode walks B1 events and looks the L2 up inline, placement mode
+        walks B2p events (L2 misses only), applies the gap's L1-victim
+        dirty marks, and takes the precomputed victim.  The whole
+        ``read_miss`` body is inlined into the loop — on the
         authenticated configurations this is the hottest code in the
         engine, and the call/tuple-return overhead is measurable.
         """
@@ -1079,26 +1004,34 @@ def _make_fast_engine(memory, l2_mirror: LeanCache,
         reload()
         popleft = outstanding.popleft
         append = outstanding.append
-        for i, block, is_write, l1_victim in segment:
-            if l1_victim is not None:
-                # L1 write-back lands in the L2 (on-chip, no bus traffic)
-                lines = l2_sets[(l1_victim >> L2_SHIFT) & L2_MASK]
-                if l1_victim in lines:
-                    j = lines.index(l1_victim)
+        dirty_add = l2_dirty.add
+        for event in segment:
+            if LIVE:
+                i, block, is_write, l1_victim = event
+                if l1_victim is not None:
+                    # L1 write-back lands in the L2 (on-chip, no bus)
+                    lines = l2_sets[(l1_victim >> L2_SHIFT) & L2_MASK]
+                    if l1_victim in lines:
+                        j = lines.index(l1_victim)
+                        if j:
+                            lines.insert(0, lines.pop(j))
+                        dirty_add(l1_victim)
+                        l2_h += 1
+                    else:
+                        l2_m += 1
+                lines = l2_sets[(block >> L2_SHIFT) & L2_MASK]
+                if block in lines:
+                    j = lines.index(block)
                     if j:
                         lines.insert(0, lines.pop(j))
-                    l2_dirty.add(l1_victim)
                     l2_h += 1
-                else:
-                    l2_m += 1
-            lines = l2_sets[(block >> L2_SHIFT) & L2_MASK]
-            if block in lines:
-                j = lines.index(block)
-                if j:
-                    lines.insert(0, lines.pop(j))
-                l2_h += 1
-                continue
-            l2_m += 1
+                    continue
+                l2_m += 1
+            else:
+                i, block, is_write, victim, adds = event
+                if adds:
+                    for address in adds:
+                        dirty_add(address)
 
             cycle = cycle_base + CCL[i + 1]
             insns = INSNS_BASE + CIL[i + 1]
@@ -1139,40 +1072,24 @@ def _make_fast_engine(memory, l2_mirror: LeanCache,
                                                  clines)
             else:
                 counter_ready = cycle
+            start = bus_free if bus_free > cycle else cycle
+            end = start + OCC
+            bus_free = end
+            bus_tx += 1
+            bus_by += BS
+            bus_busy += OCC
+            bus_q += start - cycle
+            arrive = end + MEM
             if IS_COUNTER:
                 pad_done = aes_pads(cycle, counter_ready)
-                start = bus_free if bus_free > cycle else cycle
-                end = start + OCC
-                bus_free = end
-                bus_tx += 1
-                bus_by += BS
-                bus_busy += OCC
-                bus_q += start - cycle
-                arrive = end + MEM
                 p_req += 1
                 if pad_done <= arrive:
                     p_timely += 1
                 data_ready = (arrive if arrive > pad_done else pad_done) \
                     + 1
             elif IS_NONE_MODE:
-                start = bus_free if bus_free > cycle else cycle
-                end = start + OCC
-                bus_free = end
-                bus_tx += 1
-                bus_by += BS
-                bus_busy += OCC
-                bus_q += start - cycle
-                arrive = end + MEM
                 data_ready = arrive
             else:  # DIRECT
-                start = bus_free if bus_free > cycle else cycle
-                end = start + OCC
-                bus_free = end
-                bus_tx += 1
-                bus_by += BS
-                bus_busy += OCC
-                bus_q += start - cycle
-                arrive = end + MEM
                 data_ready = aes_pads(cycle, arrive)
             auth_done = data_ready
             if HAS_NODE:
@@ -1189,18 +1106,24 @@ def _make_fast_engine(memory, l2_mirror: LeanCache,
                 h_max = value
             h_buckets[_bisect(H_BOUNDS, value)] += 1
 
-            # L2 fill; verify_chain may have mutated this set's list,
-            # but only with node addresses, so the block stays absent
-            victim = None
-            if len(lines) >= L2_ASSOC:
-                v = lines.pop()
-                if v in l2_dirty:
+            # L2 fill.  Live: verify_chain may have mutated this set's
+            # list, but only with node addresses, so the block stays
+            # absent.  Placement: the victim was precomputed.
+            if LIVE:
+                victim = lines.pop() if len(lines) >= L2_ASSOC else None
+                lines.insert(0, block)
+            else:
+                if victim is not None:
+                    resident_discard(victim)
+                resident_add(block)
+            if victim is not None:
+                if victim in l2_dirty:
                     l2_w += 1
-                    l2_dirty.discard(v)
-                    victim = v
-            lines.insert(0, block)
+                    l2_dirty.discard(victim)
+                else:
+                    victim = None
             if is_write:
-                l2_dirty.add(block)
+                dirty_add(block)
             if victim is not None:
                 writebacks += 1
                 stall = write_back(cycle, victim)
@@ -1222,254 +1145,88 @@ def _make_fast_engine(memory, l2_mirror: LeanCache,
         sync()
         return cycle_base, writebacks
 
-    def drain_pre(segment, cycle_base, writebacks, outstanding):
-        """Phase C over precomputed L2 events (phase-B2 configurations).
+    return drain
 
-        Callers guarantee there is no Merkle node cache (phase B2 is only
-        valid then), so ``read_miss`` specializes to counter resolution,
-        pad generation, and the bus read — inlined here wholesale.  With
-        no authentication, ``auth_done == data_ready`` and the exposed
-        latency collapses to ``data_ready + 0.0`` under every policy.
-        """
-        nonlocal m_reads, p_req, p_timely
-        nonlocal h_count, h_total, h_min, h_max
-        nonlocal cc_h, m_half
-        nonlocal bus_free, bus_tx, bus_by, bus_busy, bus_q
-        reload()
-        popleft = outstanding.popleft
-        append = outstanding.append
-        for i, block, is_write, dirty_victim in segment:
-            cycle = cycle_base + CCL[i + 1]
-            insns = INSNS_BASE + CIL[i + 1]
+
+def _make_generic_drain(memory, l2_mirror: LeanCache, shim, *, policy,
+                        insns_base, cum_cycles, cum_insns,
+                        mshrs: int, rob_insns: int):
+    """The same drain through the real :class:`TimingSecureMemory` methods.
+
+    Serves what the closure engine does not model (tracing, counter
+    prediction, secret shares, multi-copy engines, a separate Merkle
+    node cache), with the same signature, L2 modes and event formats as
+    the drain :func:`_make_fast_engine` builds.
+    """
+    live = shim is None
+    l2_access = l2_mirror.access
+    l2_fill = l2_mirror.fill
+    l2_stats = l2_mirror.stats
+    l2_dirty = l2_mirror.dirty
+    if not live:
+        resident = shim.resident
+    read_miss = memory.read_miss
+    write_back = memory.write_back
+
+    def drain(segment, cycle_base, writebacks, outstanding):
+        for event in segment:
+            if live:
+                i, block, is_write, l1_victim = event
+                if l1_victim is not None:
+                    l2_access(l1_victim, write=True)
+                if l2_access(block, write=False):
+                    continue
+            else:
+                i, block, is_write, victim, adds = event
+                l2_dirty.update(adds)
+
+            cycle = cycle_base + cum_cycles[i + 1]
+            insns = insns_base + cum_insns[i + 1]
             while outstanding and outstanding[0][0] <= cycle:
-                popleft()
+                outstanding.popleft()
             while outstanding and (
-                len(outstanding) >= MSHRS
-                or insns - outstanding[0][1] >= ROB
+                len(outstanding) >= mshrs
+                or insns - outstanding[0][1] >= rob_insns
             ):
                 head = outstanding[0][0]
                 if head > cycle:
                     cycle = head
-                popleft()
+                outstanding.popleft()
 
-            # read_miss, no-node specialization, inlined
-            m_reads += 1
-            if HAS_CC:
-                e = cba_get(block)
-                if e is None:
-                    index = CBA(block)
-                    e = (index, index * CC_BS)
-                    cba_memo[block] = e
-                index, caddr = e
-                lines = cc_sets[(caddr >> CC_SHIFT) & CC_MASK]
-                if caddr in lines:
-                    j = lines.index(caddr)
-                    if j:
-                        lines.insert(0, lines.pop(j))
-                    cc_h += 1
-                    inflight = inflight_get(index)
-                    if inflight is not None and inflight > cycle:
-                        m_half += 1
-                        counter_ready = inflight
-                    else:
-                        counter_ready = cycle
-                else:
-                    counter_ready = resolve_miss(cycle, index, caddr,
-                                                 lines)
+            timing = read_miss(cycle, block)
+            data_ready = timing.data_ready
+            auth_done = timing.auth_done
+            if live:
+                eviction = l2_fill(block, dirty=is_write)
+                victim = (eviction.address
+                          if eviction is not None and eviction.dirty
+                          else None)
             else:
-                counter_ready = cycle
-            if IS_COUNTER:
-                pad_done = aes_pads(cycle, counter_ready)
-                start = bus_free if bus_free > cycle else cycle
-                end = start + OCC
-                bus_free = end
-                bus_tx += 1
-                bus_by += BS
-                bus_busy += OCC
-                bus_q += start - cycle
-                arrive = end + MEM
-                p_req += 1
-                if pad_done <= arrive:
-                    p_timely += 1
-                data_ready = (arrive if arrive > pad_done else pad_done) \
-                    + 1
-            elif IS_NONE_MODE:
-                start = bus_free if bus_free > cycle else cycle
-                end = start + OCC
-                bus_free = end
-                bus_tx += 1
-                bus_by += BS
-                bus_busy += OCC
-                bus_q += start - cycle
-                data_ready = end + MEM
-            else:  # DIRECT
-                start = bus_free if bus_free > cycle else cycle
-                end = start + OCC
-                bus_free = end
-                bus_tx += 1
-                bus_by += BS
-                bus_busy += OCC
-                bus_q += start - cycle
-                data_ready = aes_pads(cycle, end + MEM)
-            value = data_ready - cycle
-            h_count += 1
-            h_total += value
-            if value < h_min:
-                h_min = value
-            if value > h_max:
-                h_max = value
-            h_buckets[_bisect(H_BOUNDS, value)] += 1
-
-            if dirty_victim is not None:
-                writebacks += 1
-                stall = write_back(cycle, dirty_victim)
-                if stall > cycle:
-                    cycle = stall
-            cycle_base = cycle - CCL[i + 1]
-
-            if is_write:
-                continue
-            append((data_ready + 0.0, insns))
-        sync()
-        return cycle_base, writebacks
-
-    def drain_pre_dirty(segment, cycle_base, writebacks, outstanding,
-                        resident, live_dirty):
-        """Phase C over placement-preclassified L2 events (phase B2p).
-
-        Same inlined no-node miss path as :func:`drain_pre`, but the
-        dirty bits stay live: each event applies the gap's L1-victim
-        dirty marks first, then decides whether the precomputed victim
-        actually needs a write-back.  ``resident``/``live_dirty`` back
-        the :class:`_L2ResidencyShim` installed as ``memory.l2``, so a
-        split-counter page re-encryption probes exact current state.
-        """
-        nonlocal m_reads, p_req, p_timely
-        nonlocal h_count, h_total, h_min, h_max
-        nonlocal cc_h, m_half, l2_w
-        nonlocal bus_free, bus_tx, bus_by, bus_busy, bus_q
-        reload()
-        popleft = outstanding.popleft
-        append = outstanding.append
-        resident_discard = resident.discard
-        resident_add = resident.add
-        dirty_add = live_dirty.add
-        dirty_discard = live_dirty.discard
-        for i, block, is_write, victim, adds in segment:
-            if adds:
-                for address in adds:
-                    dirty_add(address)
-            cycle = cycle_base + CCL[i + 1]
-            insns = INSNS_BASE + CIL[i + 1]
-            while outstanding and outstanding[0][0] <= cycle:
-                popleft()
-            while outstanding and (
-                len(outstanding) >= MSHRS
-                or insns - outstanding[0][1] >= ROB
-            ):
-                head = outstanding[0][0]
-                if head > cycle:
-                    cycle = head
-                popleft()
-
-            # read_miss, no-node specialization, inlined
-            m_reads += 1
-            if HAS_CC:
-                e = cba_get(block)
-                if e is None:
-                    index = CBA(block)
-                    e = (index, index * CC_BS)
-                    cba_memo[block] = e
-                index, caddr = e
-                lines = cc_sets[(caddr >> CC_SHIFT) & CC_MASK]
-                if caddr in lines:
-                    j = lines.index(caddr)
-                    if j:
-                        lines.insert(0, lines.pop(j))
-                    cc_h += 1
-                    inflight = inflight_get(index)
-                    if inflight is not None and inflight > cycle:
-                        m_half += 1
-                        counter_ready = inflight
+                if victim is not None:
+                    resident.discard(victim)
+                    if victim in l2_dirty:
+                        l2_stats.writebacks += 1
+                        l2_dirty.discard(victim)
                     else:
-                        counter_ready = cycle
-                else:
-                    counter_ready = resolve_miss(cycle, index, caddr,
-                                                 lines)
-            else:
-                counter_ready = cycle
-            if IS_COUNTER:
-                pad_done = aes_pads(cycle, counter_ready)
-                start = bus_free if bus_free > cycle else cycle
-                end = start + OCC
-                bus_free = end
-                bus_tx += 1
-                bus_by += BS
-                bus_busy += OCC
-                bus_q += start - cycle
-                arrive = end + MEM
-                p_req += 1
-                if pad_done <= arrive:
-                    p_timely += 1
-                data_ready = (arrive if arrive > pad_done else pad_done) \
-                    + 1
-            elif IS_NONE_MODE:
-                start = bus_free if bus_free > cycle else cycle
-                end = start + OCC
-                bus_free = end
-                bus_tx += 1
-                bus_by += BS
-                bus_busy += OCC
-                bus_q += start - cycle
-                data_ready = end + MEM
-            else:  # DIRECT
-                start = bus_free if bus_free > cycle else cycle
-                end = start + OCC
-                bus_free = end
-                bus_tx += 1
-                bus_by += BS
-                bus_busy += OCC
-                bus_q += start - cycle
-                data_ready = aes_pads(cycle, end + MEM)
-            value = data_ready - cycle
-            h_count += 1
-            h_total += value
-            if value < h_min:
-                h_min = value
-            if value > h_max:
-                h_max = value
-            h_buckets[_bisect(H_BOUNDS, value)] += 1
-
-            dirty_victim = None
+                        victim = None
+                resident.add(block)
+                if is_write:
+                    l2_dirty.add(block)
             if victim is not None:
-                resident_discard(victim)
-                if victim in live_dirty:
-                    l2_w += 1
-                    dirty_discard(victim)
-                    dirty_victim = victim
-            resident_add(block)
-            if is_write:
-                dirty_add(block)
-            if dirty_victim is not None:
                 writebacks += 1
-                stall = write_back(cycle, dirty_victim)
+                stall = write_back(cycle, victim)
                 if stall > cycle:
                     cycle = stall
-            cycle_base = cycle - CCL[i + 1]
+            cycle_base = cycle - cum_cycles[i + 1]
 
             if is_write:
                 continue
-            append((data_ready + 0.0, insns))
-        sync()
+            completion = data_ready + exposed_auth_latency(
+                policy, data_ready, auth_done)
+            outstanding.append((completion, insns))
         return cycle_base, writebacks
 
-    engine = _FastEngine()
-    engine.drain_live = drain_live
-    engine.drain_pre = drain_pre
-    engine.drain_pre_dirty = drain_pre_dirty
-    engine.sync = sync
-    engine.reload = reload
-    return engine
+    return drain
 
 
 # -- the batched run ----------------------------------------------------------
@@ -1533,26 +1290,18 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
 
     # Whole-trace cached classification applies only to the common case:
     # from-reset run, empty caches, no checkpoint observation points.
+    # Placement preclassification (B2p) additionally needs the L2 to be
+    # nothing but the data cache; otherwise the drain looks it up live.
     use_cached = (start == 0 and not checkpointing
                   and real_l1.occupancy() == 0)
     node_is_l2 = memory.node_cache is memory.l2 and memory.l2 is real_l2
-    fast_ok = (_fast_eligible(memory)
-               and (memory.node_cache is None or node_is_l2))
     cached = None
     cached_l2 = None
-    cached_l2p = None
     if use_cached:
         cached = _classified_events(trace, real_l1, blocks_arr, writes_arr)
         if real_l2.occupancy() == 0 and memory.node_cache is None:
             l1_key = (real_l1.size_bytes, real_l1.assoc, real_l1.block_size)
-            if _l2_preclass_ok(memory):
-                cached_l2 = _l2_classified_events(trace, l1_key, real_l2,
-                                                  cached)
-            elif fast_ok:
-                # split-counter scheme: placement is still precomputable,
-                # dirty bits stay live (phase B2p)
-                cached_l2p = _l2_placement_events(trace, l1_key, real_l2,
-                                                  cached)
+            cached_l2 = _l2_placement_events(trace, l1_key, real_l2, cached)
     blocks = block_set = writes = None
     if cached is None:
         blocks = blocks_arr.tolist()
@@ -1576,16 +1325,17 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
         cc_mirror = LeanCache(real_cc_inner)
         counter_cache.cache = cc_mirror
     shim = None
-    if cached_l2p is not None:
-        shim = _L2ResidencyShim()
+    if cached_l2 is not None:
+        shim = _L2ResidencyShim(l2_mirror.dirty)
         memory.l2 = shim
 
-    fast = None
-    if fast_ok:
-        fast = _make_fast_engine(
-            memory, l2_mirror, cc_mirror, policy=policy,
-            insns_base=insns_base, cum_cycles=cum_cycles,
-            cum_insns=cum_insns, mshrs=mshrs, rob_insns=rob_insns)
+    fast_ok = (_fast_eligible(memory)
+               and (memory.node_cache is None or node_is_l2))
+    make_drain = _make_fast_engine if fast_ok else _make_generic_drain
+    drain = make_drain(
+        memory, l2_mirror, shim, policy=policy, insns_base=insns_base,
+        cum_cycles=cum_cycles, cum_insns=cum_insns, mshrs=mshrs,
+        rob_insns=rob_insns)
 
     try:
         for a, b in zip(bounds, bounds[1:]):
@@ -1618,25 +1368,15 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
                     (event_wbs[hi - 1] if hi else 0)
                     - (event_wbs[lo - 1] if lo else 0))
                 if cached_l2 is not None:
-                    (l2_events, l2ev_refs, cum_h, cum_m, cum_w,
-                     _, _) = cached_l2
+                    # placement: hits/misses are precomputed, the
+                    # write-backs accumulate live in the drain
+                    l2_events, l2ev_refs, cum_h, cum_m, _, _ = cached_l2
                     l2stats = l2_mirror.stats
                     l2stats.hits += int(cum_h[hi] - cum_h[lo])
                     l2stats.misses += int(cum_m[hi] - cum_m[lo])
-                    l2stats.writebacks += int(cum_w[hi] - cum_w[lo])
                     lo2 = int(np.searchsorted(l2ev_refs, a, side="left"))
                     hi2 = int(np.searchsorted(l2ev_refs, b, side="left"))
                     segment = l2_events[lo2:hi2]
-                elif cached_l2p is not None:
-                    # placement-only: hits/misses are precomputed, the
-                    # write-backs accumulate live in the drain
-                    (p_events, pev_refs, pcum_h, pcum_m, _, _) = cached_l2p
-                    l2stats = l2_mirror.stats
-                    l2stats.hits += int(pcum_h[hi] - pcum_h[lo])
-                    l2stats.misses += int(pcum_m[hi] - pcum_m[lo])
-                    lo2 = int(np.searchsorted(pev_refs, a, side="left"))
-                    hi2 = int(np.searchsorted(pev_refs, b, side="left"))
-                    segment = p_events[lo2:hi2]
                 else:
                     segment = events[lo:hi]
             else:
@@ -1646,88 +1386,8 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
                                      positions, run_writes, b - a)
 
             # phase C: serial replay
-            if fast is not None:
-                if cached_l2 is not None:
-                    cycle_base, writebacks = fast.drain_pre(
-                        segment, cycle_base, writebacks, outstanding)
-                elif cached_l2p is not None:
-                    cycle_base, writebacks = fast.drain_pre_dirty(
-                        segment, cycle_base, writebacks, outstanding,
-                        shim.resident, shim.dirty)
-                else:
-                    cycle_base, writebacks = fast.drain_live(
-                        segment, cycle_base, writebacks, outstanding)
-            elif cached_l2 is not None:
-                # generic drain over precomputed L2 events; the memory
-                # layer never touches the (idle) L2 mirror here
-                for i, block, is_write, dirty_victim in segment:
-                    cycle = cycle_base + cum_cycles[i + 1]
-                    insns = insns_base + cum_insns[i + 1]
-                    while outstanding and outstanding[0][0] <= cycle:
-                        outstanding.popleft()
-                    while outstanding and (
-                        len(outstanding) >= mshrs
-                        or insns - outstanding[0][1] >= rob_insns
-                    ):
-                        head = outstanding[0][0]
-                        if head > cycle:
-                            cycle = head
-                        outstanding.popleft()
-
-                    timing = memory.read_miss(cycle, block)
-                    data_ready = timing.data_ready
-                    auth_done = timing.auth_done
-                    if dirty_victim is not None:
-                        writebacks += 1
-                        stall = memory.write_back(cycle, dirty_victim)
-                        if stall > cycle:
-                            cycle = stall
-                    cycle_base = cycle - cum_cycles[i + 1]
-
-                    if is_write:
-                        continue
-                    completion = data_ready + exposed_auth_latency(
-                        policy, data_ready, auth_done)
-                    outstanding.append((completion, insns))
-            else:
-                # generic drain over B1 events with the L2 mirror live
-                l2_access = l2_mirror.access
-                l2_fill = l2_mirror.fill
-                for i, block, is_write, l1_victim in segment:
-                    if l1_victim is not None:
-                        l2_access(l1_victim, write=True)
-                    if l2_access(block, write=False):
-                        continue
-
-                    cycle = cycle_base + cum_cycles[i + 1]
-                    insns = insns_base + cum_insns[i + 1]
-                    while outstanding and outstanding[0][0] <= cycle:
-                        outstanding.popleft()
-                    while outstanding and (
-                        len(outstanding) >= mshrs
-                        or insns - outstanding[0][1] >= rob_insns
-                    ):
-                        head = outstanding[0][0]
-                        if head > cycle:
-                            cycle = head
-                        outstanding.popleft()
-
-                    timing = memory.read_miss(cycle, block)
-                    data_ready = timing.data_ready
-                    auth_done = timing.auth_done
-                    eviction = l2_fill(block, dirty=is_write)
-                    if eviction is not None and eviction.dirty:
-                        writebacks += 1
-                        stall = memory.write_back(cycle, eviction.address)
-                        if stall > cycle:
-                            cycle = stall
-                    cycle_base = cycle - cum_cycles[i + 1]
-
-                    if is_write:
-                        continue
-                    completion = data_ready + exposed_auth_latency(
-                        policy, data_ready, auth_done)
-                    outstanding.append((completion, insns))
+            cycle_base, writebacks = drain(segment, cycle_base, writebacks,
+                                           outstanding)
     finally:
         # Flush mirrored line state back and restore the real objects.
         if cached is not None:
@@ -1737,15 +1397,10 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
             l1_mirror.sets = [list(lines) for lines in cached[3]]
             l1_mirror.dirty = set(cached[4])
         if cached_l2 is not None:
-            l2_mirror.sets = [list(lines) for lines in cached_l2[5]]
-            l2_mirror.dirty = set(cached_l2[6])
-        elif cached_l2p is not None:
             # placement final state is precomputed; the dirty bits are
             # the drain's live set plus the marks trailing the last miss
-            l2_mirror.sets = [list(lines) for lines in cached_l2p[4]]
-            final_dirty = set(shim.dirty)
-            final_dirty.update(cached_l2p[5])
-            l2_mirror.dirty = final_dirty
+            l2_mirror.sets = [list(lines) for lines in cached_l2[4]]
+            l2_mirror.dirty.update(cached_l2[5])
         l1_mirror.flush_to(real_l1)
         l2_mirror.flush_to(real_l2)
         processor.l1 = real_l1

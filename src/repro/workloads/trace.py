@@ -18,10 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-try:  # optional: only the batched sim engine needs ndarray views
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+import numpy as _np
 
 #: structured dtype of :meth:`Trace.arrays` — one record per reference
 TRACE_DTYPE = [("addr", "<i8"), ("gap", "<i4"), ("write", "?")]
@@ -69,14 +66,9 @@ class Trace:
     def arrays(self):
         """The trace as one structured ndarray (``TRACE_DTYPE``), cached.
 
-        Raises :class:`RuntimeError` without numpy — only the batched sim
-        engine needs this view; the scalar engine sticks to the plain
-        lists.
+        Only the batched sim engine needs this view; the scalar engine
+        sticks to the plain lists.
         """
-        if _np is None:
-            raise RuntimeError(
-                "Trace.arrays() requires numpy; install it or use "
-                "sim_engine='scalar'")
         if self._arrays is None:
             recs = _np.zeros(len(self.addrs), dtype=TRACE_DTYPE)
             recs["addr"] = self.addrs

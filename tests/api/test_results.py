@@ -68,20 +68,6 @@ class TestMetaAttached:
             meta.kind = "other"
 
 
-class TestDeprecatedNames:
-    def test_profile_result_attribute_warns(self):
-        result = api.profile("split+gcm", "mcf", refs=300)
-        with pytest.warns(DeprecationWarning, match="ProfileResult.run"):
-            legacy = result.result
-        assert legacy is result.run
-
-    def test_bench_indexing_warns(self):
-        result = api.bench(quick=True)
-        with pytest.warns(DeprecationWarning, match="BenchResult.report"):
-            legacy = result["schema"]
-        assert legacy == result.report["schema"]
-
-
 class TestSchemesJSONPurity:
     def test_schemes_json_stdout_is_pure_json(self):
         """The documented machine interface: the ENTIRE stdout of

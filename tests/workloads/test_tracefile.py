@@ -84,7 +84,6 @@ def test_streaming_ingest_equals_oneshot(tmp_path_factory, trace, chunk):
 @settings(max_examples=25, deadline=None)
 @given(trace=traces)
 def test_mmap_agrees_with_lists(tmp_path_factory, trace):
-    numpy = pytest.importorskip("numpy")
     path = tmp_path_factory.mktemp("mm") / "t.rtrc"
     write_trace(path, trace)
     view = mmap_records(path)
